@@ -815,8 +815,8 @@ def run_shared_matrix() -> dict:
     Both legs drive the identical duplicate-heavy mix — bursts of
     concurrent duplicate requests, one fault identity per burst —
     through the process compute plane.  The baseline leg disables the
-    shared segment *and* group dispatch (``shared_plane=False,
-    coalesce=False``): every duplicate in a burst lands on its own
+    shared segment *and* group stacking (``shared_plane=False,
+    group_limit=1``): every duplicate in a burst lands on its own
     worker, re-solves the identical profile grid in lockstep with its
     siblings, and ships the profiles back through the result pipe,
     exactly the pre-shared-plane backend.  The shared leg stacks each
@@ -919,7 +919,7 @@ def run_shared_matrix() -> dict:
         compute_workers=SERVICE_WORKERS,
         solver=DEFAULT_MATRIX_SOLVER,
         shared_plane=False,
-        coalesce=False,
+        group_limit=1,
     )
     latencies, wall, _ = drive(baseline_options)
     baseline = _latency_stats(latencies, wall)

@@ -7,7 +7,9 @@ kills mid-solve, a worker killed *while holding a shared-segment
 stripe write lock*, dropped/delayed compute futures, stalled
 coalescer dispatch, corrupted ``.repro_cache`` entries — and drives
 two rounds of concurrent requests from three clients through it.  The
-contract under chaos:
+stall site is inert on the process plane, whose workers run no
+coalescer; it only fires if a breaker trip steps the service down to
+the thread plane.  The contract under chaos:
 
 * every admitted request completes: either ``ok`` with a payload
   byte-identical to a batch-mode run of the same experiment, or a

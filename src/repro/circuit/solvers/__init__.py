@@ -153,10 +153,10 @@ def discard_coalescer_after_fork() -> None:
 
     A forked pool worker inherits the parent's ``_COALESCER`` global,
     but *not* its dispatcher thread — the copy is an inert shell whose
-    lock state is whatever the parent held at fork time.  Workers call
-    this before installing their own coalescer; closing the inherited
-    one instead could deadlock on a lock the (nonexistent) dispatcher
-    thread will never release.
+    lock state is whatever the parent held at fork time, and a solve
+    routed into it would wait forever.  Workers call this at start-up;
+    closing the inherited one instead could deadlock on a lock the
+    (nonexistent) dispatcher thread will never release.
     """
     global _COALESCER
     _COALESCER = None

@@ -13,14 +13,15 @@ Three backends ship:
   batch CLI's path and keeps ``run_experiment`` synchronous and
   byte-identical to the historical runner.
 * :class:`ThreadPoolBackend` executes plans on worker threads over
-  *shared warm contexts* and activates a
+  *shared warm contexts* and always activates a
   :class:`~repro.circuit.solvers.coalesce.SolveCoalescer` for its
   lifetime, so independent BL-profile solves from concurrent requests
   merge into single ``solve_many`` calls (the ``batched`` backend then
-  runs them as one block-diagonal lockstep Newton).  Within an
-  experiment, cell-level fan-out still rides the context's executor —
-  the existing process pool sits *underneath* this backend, it is not
-  replaced by it.
+  runs them as one block-diagonal lockstep Newton).  The coalescer is
+  the thread plane's solve-sharing mechanism and no other plane's.
+  Within an experiment, cell-level fan-out still rides the context's
+  executor — the existing process pool sits *underneath* this backend,
+  it is not replaced by it.
 * :class:`ProcessPoolBackend` executes whole plans in supervised worker
   *processes* over warm per-worker contexts, so CPU-bound request
   streams scale past one core and a crashed or wedged worker
@@ -51,12 +52,12 @@ is zero-copy readable by all siblings instead of being re-solved or
 pickled back through the result pipes.  The PR-9 ship-back path stays
 as the strict fallback whenever shared memory is unavailable or a
 stripe declines a write.  On top of it, the supervisor's dispatcher
-extends solve coalescing to the process plane: queued jobs with equal
+shares solves the process plane's way: queued jobs with equal
 (config, solver, fault-set) identity are *grouped* onto one worker,
-where the head job solves the group's profile grids once and its
-group-mates collapse to registry hits — one solve stream serving the
-whole stack, with a worker-lifetime :class:`SolveCoalescer` funnelling
-the solves through a single dispatcher thread.
+up to ``group_limit``, where the head job solves the group's profile
+grids once and its group-mates collapse to registry hits — one solve
+stream serving the whole stack.  Workers run no coalescer: a worker
+executes its batch on one thread, so there is nothing to merge.
 """
 
 from __future__ import annotations
@@ -179,31 +180,24 @@ class ThreadPoolBackend(ComputeBackend):
     concurrent solves into one batch, the coalescer funnels every
     Newton solve through its single dispatcher thread, which is what
     makes the (thread-oblivious) solver structure caches safe to share
-    between request threads.
+    between request threads — so it is not optional.
     """
 
-    def __init__(
-        self,
-        workers: int = 2,
-        coalesce: bool = True,
-        coalesce_window_s: float = 0.002,
-    ) -> None:
+    def __init__(self, workers: int = 2) -> None:
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
+        from ..circuit.solvers import install_coalescer
+        from ..circuit.solvers.coalesce import SolveCoalescer
+
         self.workers = workers
         self._pool = ThreadPoolExecutor(
             max_workers=workers, thread_name_prefix="repro-compute"
         )
         self._collector = obs.Collector()
         self._collector_lock = threading.Lock()
-        self._coalescer = None
         self._closed = False
-        if coalesce:
-            from ..circuit.solvers import install_coalescer
-            from ..circuit.solvers.coalesce import SolveCoalescer
-
-            self._coalescer = SolveCoalescer(window_s=coalesce_window_s)
-            install_coalescer(self._coalescer)
+        self._coalescer = SolveCoalescer()
+        install_coalescer(self._coalescer)
 
     @property
     def label(self) -> str:
@@ -232,26 +226,21 @@ class ThreadPoolBackend(ComputeBackend):
 
     def stats(self) -> "Snapshot":
         """Aggregate observability: executed plans plus coalescer state."""
+        merged = obs.Collector()
         with self._collector_lock:
-            snapshot = self._collector.snapshot()
-        if self._coalescer is not None:
-            snapshot_c = self._coalescer.stats()
-            merged = obs.Collector()
-            merged.merge(snapshot)
-            merged.merge(snapshot_c)
-            return merged.snapshot()
-        return snapshot
+            merged.merge(self._collector.snapshot())
+        merged.merge(self._coalescer.stats())
+        return merged.snapshot()
 
     def close(self) -> None:
         if self._closed:
             return
         self._closed = True
         self._pool.shutdown(wait=True)
-        if self._coalescer is not None:
-            from ..circuit.solvers import uninstall_coalescer
+        from ..circuit.solvers import uninstall_coalescer
 
-            uninstall_coalescer(self._coalescer)
-            self._coalescer.close()
+        uninstall_coalescer(self._coalescer)
+        self._coalescer.close()
 
 
 # -- supervised process pool ---------------------------------------------------
@@ -336,8 +325,6 @@ def _pool_worker_main(
     heartbeat_s: float,
     chaos_policy,
     shm_handle=None,
-    coalesce: bool = True,
-    coalesce_window_s: float = 0.002,
 ) -> None:
     """Worker process loop: execute job specs until the ``None`` sentinel.
 
@@ -367,16 +354,18 @@ def _pool_worker_main(
     group's profile grids once and publishes them (process-local
     registry + shared plane), and every group-mate's solves collapse to
     registry hits.  Running group-mates concurrently instead would be
-    strictly worse — the coalescer *concatenates* same-signature
-    submissions into one lockstep backend call (it amortises
-    factorisations across distinct networks, it does not dedupe
-    identical ones), so duplicate streams in lockstep re-solve every
-    quantum N times and break the warm-start continuation chain.  The
-    worker-lifetime :class:`SolveCoalescer` (installed when
-    ``coalesce``) still funnels every solve through one dispatcher
-    thread — backend structure/warm caches stay single-threaded — and
-    merges whatever concurrency a single job produces internally.
+    strictly worse: duplicate streams in lockstep re-solve every
+    quantum N times and break the warm-start continuation chain.
+
+    Jobs run on this one thread, so solves need no coalescer to stay
+    single-threaded, and a coalescer would have nothing to merge.  The
+    worker forgets any coalescer it inherited through ``fork``: the
+    copy has no dispatcher thread, so a solve routed into it would
+    block forever.
     """
+    from ..circuit.solvers import discard_coalescer_after_fork
+
+    discard_coalescer_after_fork()
     if chaos_policy is not None:
         chaos.install(chaos_policy)
     send_lock = threading.Lock()
@@ -418,40 +407,6 @@ def _pool_worker_main(
         if plane is not None:
             profile_registry.attach_shared(plane)
 
-    coalescer = None
-    coalesce_last: dict = {}
-    coalesce_lock = threading.Lock()
-    if coalesce:
-        from ..circuit.solvers import (
-            discard_coalescer_after_fork,
-            install_coalescer,
-        )
-        from ..circuit.solvers.coalesce import SolveCoalescer
-
-        discard_coalescer_after_fork()
-        coalescer = SolveCoalescer(window_s=coalesce_window_s)
-        install_coalescer(coalescer)
-
-    def coalesce_delta() -> dict:
-        """Coalescer counters accrued since the last shipped delta.
-
-        The coalescer keeps its own collector (solves run on its
-        dispatcher thread, outside any job's thread-local scope), so
-        workers ship counter *deltas* folded into job snapshots — the
-        supervisor's merge then adds up to exact process-plane totals.
-        """
-        if coalescer is None:
-            return {}
-        with coalesce_lock:
-            counters = coalescer.stats().counters
-            delta = {
-                name: total - coalesce_last.get(name, 0)
-                for name, total in counters.items()
-                if total != coalesce_last.get(name, 0)
-            }
-            coalesce_last.update(counters)
-        return delta
-
     def run_one(job_id: int, spec: _JobSpec) -> None:
         kill_timer = chaos.kill_point(spec.chaos_token)
         try:
@@ -466,12 +421,6 @@ def _pool_worker_main(
                 ("error", worker_id, (job_id, type(exc).__name__, str(exc), tb))
             )
         else:
-            delta = coalesce_delta()
-            if delta and snapshot is not None:
-                for name, n in delta.items():
-                    snapshot.counters[name] = (
-                        snapshot.counters.get(name, 0) + n
-                    )
             post(("done", worker_id, (job_id, (result, snapshot, profiles))))
         finally:
             # Disarm a kill aimed at this job once it is over: a stale
@@ -501,7 +450,7 @@ class _Job:
         self.attempts = 0  # resubmissions consumed by worker deaths
         self.dispatched = False
         #: Group-dispatch identity (config/solver/fault-set); jobs with
-        #: equal groups may be stacked onto one worker to coalesce.
+        #: equal groups may be stacked onto one worker to share solves.
         self.group: "tuple | None" = None
         #: Worker epoch this job is currently dispatched to, or None
         #: while queued.  Results are only merged when the reporting
@@ -570,16 +519,17 @@ class ProcessPoolBackend(ComputeBackend):
     everywhere, and the pipe ship-back path degrades into a fallback
     for whatever the segment declines.  Creation failure (no
     ``/dev/shm``, permissions) silently keeps the PR-9 ship-back
-    behaviour.  ``coalesce`` arms a worker-lifetime
-    :class:`SolveCoalescer` in each worker, and the dispatcher stacks
-    up to ``group_limit`` queued jobs of equal (config, solver,
-    fault-set) identity onto one worker — unconditionally, because a
-    group-mate stacked behind its head job costs a registry lookup
-    while the same job raced on a spare worker re-solves the whole
-    profile grid.  The stacked jobs run in order: the head job solves
-    and publishes the group's profiles, the rest collapse to registry
-    hits (see :func:`_pool_worker_main` for why sequential beats
-    concurrent here).
+    behaviour.  ``group_limit`` is the one dispatch setting: the
+    dispatcher stacks up to that many queued jobs of equal (config,
+    solver, fault-set) identity onto one worker — even with idle
+    workers to spare, because a group-mate stacked behind its head job
+    costs a registry lookup while the same job raced on a spare worker
+    re-solves the whole profile grid.  The stacked jobs run in order:
+    the head job solves and publishes the group's profiles, the rest
+    collapse to registry hits (see :func:`_pool_worker_main` for why
+    sequential beats concurrent here).  ``group_limit=1`` disables
+    stacking; warm placement onto the worker that last ran an identity
+    still applies.
     """
 
     #: Supervisor wake-up interval: bounds dispatch latency and the
@@ -597,8 +547,6 @@ class ProcessPoolBackend(ComputeBackend):
         restart_policy: "RetryPolicy | None" = None,
         chaos_policy: "chaos.ChaosPolicy | None" = None,
         shared_plane: bool = True,
-        coalesce: bool = True,
-        coalesce_window_s: float = 0.002,
         group_limit: int = 4,
     ) -> None:
         if workers < 1:
@@ -645,8 +593,6 @@ class ProcessPoolBackend(ComputeBackend):
         self._closed = False
         self._collector = obs.Collector()
         self._collector_lock = threading.Lock()
-        self.coalesce = coalesce
-        self.coalesce_window_s = coalesce_window_s
         self.group_limit = max(1, group_limit)
         self._shm = None
         if shared_plane:
@@ -708,8 +654,8 @@ class ProcessPoolBackend(ComputeBackend):
                 )
             job = _Job(next(self._next_job), _spec_for(plan, context))
             # Seed is deliberately *not* part of the group key: distinct
-            # seeds of one configuration share every sparsity pattern,
-            # which is exactly what the worker-side coalescer merges.
+            # seeds of one configuration share every profile grid, so a
+            # stacked group-mate of any seed rides its head's solves.
             job.group = (
                 plan.cfg_hash,
                 plan.solver,
@@ -765,8 +711,6 @@ class ProcessPoolBackend(ComputeBackend):
                 # immediately sees every profile its predecessors
                 # published.
                 self._shm.handle() if self._shm is not None else None,
-                self.coalesce,
-                self.coalesce_window_s,
             ),
             name=f"repro-pool-{wid}",
             daemon=True,
@@ -1007,6 +951,29 @@ class ProcessPoolBackend(ComputeBackend):
             job.dispatched = True
         return True
 
+    def _pull_group(self, group: tuple, room: int) -> "list[_Job]":
+        """Claim up to ``room`` queued jobs of identity ``group``, in
+        queue order; cancelled ones are dropped on the way."""
+        batch: list[_Job] = []
+        scan = 0
+        while len(batch) < room and scan < len(self._queue):
+            candidate = self._queue[scan]
+            if candidate.group != group:
+                scan += 1
+                continue
+            del self._queue[scan]
+            if self._claim(candidate):
+                batch.append(candidate)
+        return batch
+
+    def _hand_off(self, worker: _PoolWorker, batch: "list[_Job]") -> None:
+        """Pin ``batch`` to ``worker`` and send it as one task message."""
+        worker.started_at = time.monotonic()
+        for job in batch:
+            job.wid = worker.wid
+            worker.job_ids.add(job.id)
+        worker.task_queue.put([(job.id, job.spec) for job in batch])
+
     def _dispatch_affinity(self) -> None:
         """Append queued jobs to busy workers already running their group.
 
@@ -1029,25 +996,11 @@ class ProcessPoolBackend(ComputeBackend):
                 or not worker.process.is_alive()
             ):
                 continue
-            room = self.group_limit - len(worker.job_ids)
-            batch: list[_Job] = []
-            scan = 0
-            while room > 0 and scan < len(self._queue):
-                candidate = self._queue[scan]
-                if candidate.group != worker.group:
-                    scan += 1
-                    continue
-                del self._queue[scan]
-                if not self._claim(candidate):
-                    continue
-                batch.append(candidate)
-                room -= 1
+            batch = self._pull_group(
+                worker.group, self.group_limit - len(worker.job_ids)
+            )
             if not batch:
                 continue
-            worker.started_at = time.monotonic()
-            for job in batch:
-                job.wid = worker.wid
-                worker.job_ids.add(job.id)
             self._note("compute.affinity_dispatches")
             self._note("compute.grouped_jobs", len(batch))
             if not worker.grouped:
@@ -1055,47 +1008,27 @@ class ProcessPoolBackend(ComputeBackend):
                 # into a group dispatch (head + followers).
                 self._note("compute.group_dispatches")
                 worker.grouped = True
-            worker.task_queue.put([(job.id, job.spec) for job in batch])
+            self._hand_off(worker, batch)
 
     def _dispatch(self) -> None:
         if not self._queue:
             return
-        if self.coalesce:
-            self._dispatch_affinity()
+        self._dispatch_affinity()
         idle = [
             w
             for w in self._pool.values()
             if not w.job_ids and w.process.is_alive()
         ]
-        while idle:
-            batch: list[_Job] = []
-            while self._queue and not batch:
-                job = self._queue.popleft()
-                if self._claim(job):
-                    batch.append(job)
-            if not batch:
-                return
-            # Stack same-group queue-mates onto this worker,
-            # unconditionally up to group_limit.  A stacked group-mate
-            # rides the head job's published profiles for near-free;
-            # dispatched anywhere else it re-solves the whole grid in
-            # lockstep with the head, so even with idle workers to
-            # spare, duplicates belong behind their head job.
-            if self.coalesce and batch[0].group is not None:
-                group = batch[0].group
-                scan = 0
-                while (
-                    len(batch) < self.group_limit
-                    and scan < len(self._queue)
-                ):
-                    candidate = self._queue[scan]
-                    if candidate.group != group:
-                        scan += 1
-                        continue
-                    del self._queue[scan]
-                    if not self._claim(candidate):
-                        continue
-                    batch.append(candidate)
+        while idle and self._queue:
+            head = self._queue.popleft()
+            if not self._claim(head):
+                continue
+            # Stack same-group queue-mates behind the head job (see
+            # _dispatch_affinity for why even idle workers don't get
+            # them).  Requeued jobs are groupless and always run alone.
+            batch = [head]
+            if head.group is not None:
+                batch += self._pull_group(head.group, self.group_limit - 1)
             # Warm placement: of the idle workers, prefer the one that
             # last ran this identity — its process-local registry
             # already holds the group's profiles.
@@ -1103,24 +1036,17 @@ class ProcessPoolBackend(ComputeBackend):
                 (
                     w
                     for w in idle
-                    if batch[0].group is not None
-                    and w.group == batch[0].group
+                    if head.group is not None and w.group == head.group
                 ),
                 idle[0],
             )
             idle.remove(worker)
-            worker.started_at = time.monotonic()
-            worker.group = batch[0].group
+            worker.group = head.group
             worker.grouped = len(batch) > 1
-            for job in batch:
-                job.wid = worker.wid
-                worker.job_ids.add(job.id)
-            if len(batch) > 1:
+            if worker.grouped:
                 self._note("compute.group_dispatches")
                 self._note("compute.grouped_jobs", len(batch))
-            worker.task_queue.put([(job.id, job.spec) for job in batch])
-            if not self._queue:
-                return
+            self._hand_off(worker, batch)
 
     # -- lifecycle -----------------------------------------------------------------
 

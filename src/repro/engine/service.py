@@ -6,11 +6,12 @@ applies admission control and per-request deadlines, and hands
 resolved :class:`~repro.engine.plan.ExperimentPlan` objects to the
 compute plane (:class:`~repro.engine.compute.ThreadPoolBackend` or a
 supervised :class:`~repro.engine.compute.ProcessPoolBackend`), where
-warm shared :class:`~repro.engine.context.RunContext` instances, the
-cross-request solve coalescer, and — on the process plane — the
-shared-memory profile segment with duplicate-identity group dispatch
-amortise model construction and Newton factorisations across the
-whole request stream.
+warm shared :class:`~repro.engine.context.RunContext` instances
+amortise model construction across the whole request stream.  Each
+plane shares Newton solves one way: the thread plane through its
+cross-request solve coalescer, the process plane by duplicate-identity
+group dispatch (up to ``group_limit`` jobs per worker) over the
+shared-memory profile segment.
 
 Wire protocol — one JSON object per line, one response line per
 request (responses may interleave across concurrent requests on a
@@ -95,8 +96,10 @@ class ServeOptions:
     #: Deadline applied to requests that do not carry their own
     #: ``deadline_s``; ``None`` means unbounded.
     default_deadline_s: float | None = None
-    coalesce_window_s: float = 0.002
-    coalesce: bool = True
+    #: Process rung: most same-identity queued jobs stacked onto one
+    #: worker to share its solves (1 = no stacking).  The thread rung
+    #: always shares solves through its coalescer.
+    group_limit: int = 4
     #: Disk cache shared by every request (``None`` disables caching).
     cache_dir: str | None = DEFAULT_CACHE_DIR
     #: Default solver for requests that do not name one.
@@ -191,15 +194,10 @@ class EngineService:
                 job_deadline_s=options.job_deadline_s,
                 chaos_policy=options.chaos,
                 shared_plane=options.shared_plane,
-                coalesce=options.coalesce,
-                coalesce_window_s=options.coalesce_window_s,
+                group_limit=options.group_limit,
             )
         if kind == "thread":
-            return ThreadPoolBackend(
-                workers=options.compute_workers,
-                coalesce=options.coalesce,
-                coalesce_window_s=options.coalesce_window_s,
-            )
+            return ThreadPoolBackend(workers=options.compute_workers)
         return inline_backend()
 
     # -- lifecycle ---------------------------------------------------------------
@@ -780,14 +778,6 @@ def serve_main(argv: "list[str] | None" = None) -> int:
         help="default per-request deadline in seconds (unbounded if unset)",
     )
     parser.add_argument(
-        "--coalesce-window-ms", type=float, default=2.0, metavar="MS",
-        help="solve-coalescer gather window (0 disables merging wait)",
-    )
-    parser.add_argument(
-        "--no-coalesce", action="store_true",
-        help="disable the cross-request solve coalescer entirely",
-    )
-    parser.add_argument(
         "--no-cache", action="store_true",
         help="serve without the on-disk result cache",
     )
@@ -851,8 +841,6 @@ def serve_main(argv: "list[str] | None" = None) -> int:
         compute_workers=args.compute_workers,
         max_pending=args.max_pending,
         default_deadline_s=args.deadline,
-        coalesce_window_s=max(0.0, args.coalesce_window_ms) / 1000.0,
-        coalesce=not args.no_coalesce,
         cache_dir=None if args.no_cache else args.cache_dir,
         solver=args.solver,
         compute_plane=args.compute_plane,

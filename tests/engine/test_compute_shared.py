@@ -2,8 +2,9 @@
 
 Covers the shared-memory profile segment riding under
 :class:`~repro.engine.compute.ProcessPoolBackend`, the supervisor's
-group dispatch + worker-side coalescing, the worker-epoch guard against
-double-merged observations, and the ``shm.kill_in_lock`` crash mode.
+group dispatch (the process plane's only solve-sharing path), workers
+ignoring a coalescer inherited through ``fork``, the worker-epoch guard
+against double-merged observations, and the chaos sites of both planes.
 """
 
 from __future__ import annotations
@@ -14,8 +15,10 @@ import time
 
 import pytest
 
-from repro import obs
+from repro import chaos, obs
 from repro.chaos import ChaosPolicy
+from repro.circuit.solvers import install_coalescer, uninstall_coalescer
+from repro.circuit.solvers.coalesce import SolveCoalescer
 from repro.engine.compute import (
     InlineBackend,
     ProcessPoolBackend,
@@ -174,35 +177,72 @@ class TestGroupDispatch:
         finally:
             backend.close()
 
-    def test_grouped_jobs_coalesce_their_solves(self):
-        """Same-config distinct-seed jobs stacked on one worker merge
-        their BL-profile solves through the worker's coalescer."""
+    def test_grouped_jobs_share_one_solve_stream(self):
+        """Four same-identity jobs stacked on one worker solve exactly
+        what one of them solves alone: the head job's solves serve the
+        whole stack, and its group-mates add zero ``solver.solves``."""
         ensure_loaded()
-        backend = ProcessPoolBackend(workers=1, group_limit=4)
-        try:
-            # One fault scenario, distinct run seeds: the group key
-            # (config, solver, fault-set) matches across all four, so
-            # they stack.  Prebuild contexts/plans so the submits land
-            # back-to-back and genuinely form a queue surplus.
-            faults = FaultModel.at_rate(1e-3, seed=0)
+        # One fault scenario, distinct run seeds: the group key
+        # (config, solver, fault-set) matches across all of them.
+        faults = FaultModel.at_rate(1e-3, seed=0)
+
+        def solves(n_jobs):
+            clear_warm_contexts()
+            profile_registry.clear()
+            _DEFAULT_CACHE.clear()
+            # Prebuild contexts/plans so the submits land back-to-back
+            # and genuinely form a queue surplus.
             contexts = [
                 warm_context(
                     seed=s, solver="factor-cache",
                     faults=faults, cache_dir=None,
                 )
-                for s in range(4)
+                for s in range(n_jobs)
             ]
             plans = [(build_plan("fig04", ctx), ctx) for ctx in contexts]
-            futures = [backend.submit(plan, ctx) for plan, ctx in plans]
-            for f in futures:
-                f.result(timeout=120)
-            counters = backend.stats().counters
+            backend = ProcessPoolBackend(workers=1, group_limit=4)
+            try:
+                futures = [backend.submit(plan, ctx) for plan, ctx in plans]
+                for f in futures:
+                    f.result(timeout=120)
+                return backend.stats().counters
+            finally:
+                backend.close()
+
+        alone = solves(1)
+        stacked = solves(4)
+        assert alone.get("solver.solves", 0) >= 1
+        assert stacked.get("compute.group_dispatches", 0) >= 1
+        assert stacked.get("solver.solves", 0) == alone["solver.solves"]
+        assert stacked.get("profile_cache.miss", 0) == alone.get(
+            "profile_cache.miss", 0
+        )
+
+
+class TestInheritedCoalescer:
+    def test_worker_ignores_a_coalescer_installed_in_its_parent(self):
+        """A forked worker inherits the parent's installed coalescer but
+        not its dispatcher thread; it must solve directly instead of
+        queueing on that inert copy (which would block forever)."""
+        ensure_loaded()
+        coalescer = SolveCoalescer()
+        install_coalescer(coalescer)
+        try:
+            backend = ProcessPoolBackend(workers=1, group_limit=1)
+            try:
+                future = backend.submit(
+                    build_plan("fig04", _ctx(0)), _ctx(0)
+                )
+                future.result(timeout=120)
+                counters = backend.stats().counters
+            finally:
+                backend.close()
+            parent = coalescer.stats().counters
         finally:
-            backend.close()
-        assert counters.get("compute.group_dispatches", 0) >= 1
-        # The worker-lifetime coalescer saw the grouped jobs' solves;
-        # its counter deltas shipped back inside the job snapshots.
-        assert counters.get("coalesce.jobs", 0) >= 1
+            uninstall_coalescer(coalescer)
+            coalescer.close()
+        assert counters.get("solver.solves", 0) >= 1
+        assert parent.get("coalesce.jobs", 0) == 0
 
 
 class TestWorkerEpochGuard:
@@ -282,22 +322,25 @@ class TestWorkerEpochGuard:
 
 class TestChaos:
     def test_coalesce_stall_does_not_change_results(self):
+        """The ``coalesce.stall`` site lives in the thread plane's
+        coalescer, the only plane that runs one."""
         ensure_loaded()
         policy = ChaosPolicy(
             seed=2, stall_dispatch_rate=1.0, stall_dispatch_ms=5
         )
-        backend = ProcessPoolBackend(
-            workers=1, chaos_policy=policy, group_limit=4
-        )
-        try:
-            seeds = (0, 1)
-            futures = [
-                backend.submit(build_plan("fig04", _ctx(s)), _ctx(s))
-                for s in seeds
-            ]
-            stalled = [_plain(f.result(timeout=120)) for f in futures]
-        finally:
-            backend.close()
+        stalls_before = chaos.counts().get("coalesce.stall", 0)
+        with chaos.injected(policy):
+            backend = ThreadPoolBackend(workers=2)
+            try:
+                seeds = (0, 1)
+                futures = [
+                    backend.submit(build_plan("fig04", _ctx(s)), _ctx(s))
+                    for s in seeds
+                ]
+                stalled = [_plain(f.result(timeout=120)) for f in futures]
+            finally:
+                backend.close()
+        assert chaos.counts().get("coalesce.stall", 0) > stalls_before
         clear_warm_contexts()
         profile_registry.clear()
         inline = InlineBackend()
