@@ -155,10 +155,12 @@ def kill_point(token: object) -> "threading.Timer | None":
     The exit is scheduled on a timer ``kill_delay_ms`` out, so the job
     has genuinely started executing when the process dies — the
     supervisor observes an in-flight death, not a refused job.  The
-    caller receives the armed timer and must ``cancel()`` it once the
-    job completes, so a kill aimed at a fast job cannot leak into the
-    worker's *next* job (that would charge an innocent plan's
-    resubmission budget).  ``kill_delay_ms=0`` exits immediately.
+    caller receives the armed timer and, if its process is still alive
+    when the job completes, must ``os._exit(KILL_EXIT_CODE)`` before
+    reporting the result: a kill aimed at a job faster than the delay
+    then still lands, and never leaks into the worker's *next* job
+    (that would charge an innocent plan's resubmission budget).
+    ``kill_delay_ms=0`` exits immediately.
     """
     policy = _STATE.policy
     if policy is None:

@@ -417,17 +417,17 @@ def _pool_worker_main(
                     type(exc), exc, exc.__traceback__, limit=8
                 )
             )
-            post(
-                ("error", worker_id, (job_id, type(exc).__name__, str(exc), tb))
+            outcome = (
+                "error", worker_id, (job_id, type(exc).__name__, str(exc), tb)
             )
         else:
-            post(("done", worker_id, (job_id, (result, snapshot, profiles))))
-        finally:
-            # Disarm a kill aimed at this job once it is over: a stale
-            # timer firing during the *next* job would charge an
-            # innocent plan's resubmission budget.
-            if kill_timer is not None:
-                kill_timer.cancel()
+            outcome = ("done", worker_id, (job_id, (result, snapshot, profiles)))
+        if kill_timer is not None:
+            # A kill aimed at this job lands even when the job beat its
+            # timer: exit before posting, so the supervisor still sees
+            # an in-flight death and the kill never reaches the next job.
+            os._exit(chaos.KILL_EXIT_CODE)
+        post(outcome)
 
     post(("ready", worker_id, None))
     while True:
@@ -441,12 +441,15 @@ def _pool_worker_main(
 
 class _Job:
     __slots__ = ("id", "spec", "future", "attempts", "dispatched",
-                 "group", "wid")
+                 "group", "wid", "queued_at")
 
     def __init__(self, job_id: int, spec: _JobSpec) -> None:
         self.id = job_id
         self.spec = spec
         self.future: Future = Future()
+        #: When the job last entered the queue (submit or requeue); the
+        #: ``compute.dispatch_wait`` span runs from here to hand-off.
+        self.queued_at = time.monotonic()
         self.attempts = 0  # resubmissions consumed by worker deaths
         self.dispatched = False
         #: Group-dispatch identity (config/solver/fault-set); jobs with
@@ -530,10 +533,18 @@ class ProcessPoolBackend(ComputeBackend):
     sequential beats concurrent here).  ``group_limit=1`` disables
     stacking; warm placement onto the worker that last ran an identity
     still applies.
+
+    Dispatch is event-driven: :meth:`submit` and :meth:`close` post one
+    message to a private wake pipe in the supervisor's wait set, so a
+    job is handed off as soon as it is queued.  ``_TICK_S`` only paces
+    the heartbeat, deadline and restart-backoff checks.  Every hand-off
+    records a ``compute.dispatch_wait`` span, from the moment the job
+    was queued (submit or requeue) to hand-off.
     """
 
-    #: Supervisor wake-up interval: bounds dispatch latency and the
-    #: granularity of liveness/deadline checks.
+    #: Supervisor poll interval.  Submits and close() wake the
+    #: supervisor through its wake pipe, so this only paces heartbeat,
+    #: deadline and restart-backoff checks.
     _TICK_S = 0.02
 
     def __init__(
@@ -593,6 +604,12 @@ class ProcessPoolBackend(ComputeBackend):
         self._closed = False
         self._collector = obs.Collector()
         self._collector_lock = threading.Lock()
+        # Wake pipe into the supervisor's wait set: submit() and close()
+        # post one empty message (at most one unread, tracked by
+        # _wake_pending under _lock) so a queued job is dispatched at
+        # once instead of at the next tick.
+        self._wake_recv, self._wake_send = mp_connection.Pipe(duplex=False)
+        self._wake_pending = False
         self.group_limit = max(1, group_limit)
         self._shm = None
         if shared_plane:
@@ -666,7 +683,14 @@ class ProcessPoolBackend(ComputeBackend):
             self._jobs[job.id] = job
             self._queue.append(job)
             self._note("compute.jobs")
+            self._wake()
         return job.future
+
+    def _wake(self) -> None:
+        """Wake the supervisor for a dispatch pass (caller holds _lock)."""
+        if not self._wake_pending:
+            self._wake_pending = True
+            self._wake_send.send_bytes(b"")
 
     def _note(self, name: str, n: int = 1) -> None:
         with self._collector_lock:
@@ -729,17 +753,18 @@ class ProcessPoolBackend(ComputeBackend):
                     for w in self._pool.values()
                     if w.wid not in self._conn_failed
                 }
-            if conns:
-                try:
-                    ready = mp_connection.wait(
-                        list(conns), timeout=self._TICK_S
-                    )
-                except OSError:
-                    ready = []
-            else:
-                time.sleep(self._TICK_S)
+            try:
+                ready = mp_connection.wait(
+                    [self._wake_recv, *conns], timeout=self._TICK_S
+                )
+            except OSError:
                 ready = []
             for conn in ready:
+                if conn is self._wake_recv:
+                    with self._lock:
+                        self._wake_recv.recv_bytes()  # the one unread wake
+                        self._wake_pending = False
+                    continue
                 wid = conns[conn]
                 while True:
                     try:
@@ -761,6 +786,8 @@ class ProcessPoolBackend(ComputeBackend):
                 if self._closing and not self._jobs and not self._queue:
                     break
         self._shutdown_workers()
+        self._wake_recv.close()
+        self._wake_send.close()
 
     def _handle_message(self, message: tuple) -> None:
         kind, wid, body = message
@@ -908,6 +935,7 @@ class ProcessPoolBackend(ComputeBackend):
                     job.spec,
                     chaos_token=(job.spec.name, job.spec.seed, job.attempts),
                 )
+                job.queued_at = time.monotonic()
                 self._queue.appendleft(job)
                 self._note("compute.requeues")
                 continue
@@ -968,7 +996,12 @@ class ProcessPoolBackend(ComputeBackend):
 
     def _hand_off(self, worker: _PoolWorker, batch: "list[_Job]") -> None:
         """Pin ``batch`` to ``worker`` and send it as one task message."""
-        worker.started_at = time.monotonic()
+        now = worker.started_at = time.monotonic()
+        with self._collector_lock:
+            for job in batch:
+                self._collector.record_span(
+                    "compute.dispatch_wait", now - job.queued_at
+                )
         for job in batch:
             job.wid = worker.wid
             worker.job_ids.add(job.id)
@@ -1085,6 +1118,7 @@ class ProcessPoolBackend(ComputeBackend):
                 return
             self._closed = True
             self._closing = True
+            self._wake()
         if wait:
             self._supervisor.join(timeout=120.0)
         else:

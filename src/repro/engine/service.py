@@ -874,4 +874,11 @@ def serve_main(argv: "list[str] | None" = None) -> int:
         print("repro service stopped", flush=True)
         return 0
 
-    return asyncio.run(_amain())
+    code = asyncio.run(_amain())
+    # The backends are closed and the shm segment unlinked: stop and
+    # reap multiprocessing's resource tracker as well, so the service
+    # exits with no child of its own still shutting down.
+    from multiprocessing import resource_tracker
+
+    resource_tracker._resource_tracker._stop()
+    return code

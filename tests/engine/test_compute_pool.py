@@ -106,6 +106,32 @@ class TestExecution:
             backend.submit(build_plan(ok_probe, ctx), ctx)
 
 
+class TestEventDispatch:
+    def test_submit_and_close_do_not_wait_for_the_tick(
+        self, ok_probe, monkeypatch
+    ):
+        # A 2 s tick, and heartbeats too rare to wake the supervisor
+        # either: only the submit/close wake-up can make this fast.
+        monkeypatch.setattr(ProcessPoolBackend, "_TICK_S", 2.0)
+        backend = ProcessPoolBackend(workers=1, heartbeat_s=10.0)
+        try:
+            for seed in range(5):
+                ctx = warm_context(seed=seed)
+                plan = build_plan(ok_probe, ctx)
+                start = time.monotonic()
+                future = backend.submit(plan, ctx)
+                assert future.result(timeout=60).payload["seed"] == seed
+                assert time.monotonic() - start < 0.5
+            waits = backend.stats().spans["compute.dispatch_wait"]
+            assert waits.count == 5
+        finally:
+            start = time.monotonic()
+            backend.close()
+            closed_in = time.monotonic() - start
+        assert closed_in < 1.0
+        assert backend.alive_workers() == 0
+
+
 class TestCrashRecovery:
     def test_chaos_killed_workers_requeue_and_converge(self, ok_probe):
         # Seed 4 against these tokens: plan seeds 0/1/3 kill their

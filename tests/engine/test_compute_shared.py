@@ -162,18 +162,22 @@ class TestGroupDispatch:
         backend = ProcessPoolBackend(workers=2)
         try:
             contexts = [warm_context(seed=s) for s in range(2)]
-            futures = [
-                backend.submit(build_plan(ok_probe, ctx), ctx)
-                for ctx in contexts
-            ]
+            plans = [build_plan(ok_probe, ctx) for ctx in contexts]
+            # Submits wake the supervisor at once, so the first job
+            # could finish before the second is queued.  Holding the
+            # (re-entrant) pool lock across both submits keeps the
+            # supervisor from dispatching until both are queued: a
+            # real two-job surplus with two idle workers.
+            with backend._lock:
+                futures = [
+                    backend.submit(plan, ctx)
+                    for plan, ctx in zip(plans, contexts)
+                ]
             for f in futures:
                 f.result(timeout=60)
             counters = backend.stats().counters
-            # (grouped_jobs is 2 when both stack in one tick, 1 when a
-            # tick lands between the submits and the second job rides
-            # the affinity path onto the already-busy worker.)
             assert counters.get("compute.group_dispatches", 0) == 1
-            assert counters.get("compute.grouped_jobs", 0) >= 1
+            assert counters.get("compute.grouped_jobs", 0) == 2
         finally:
             backend.close()
 

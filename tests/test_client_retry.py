@@ -39,8 +39,7 @@ class ScriptedServer(threading.Thread):
                 conn, _ = self._sock.accept()
             except OSError:  # listener closed: test over
                 return
-            with conn:
-                reader = conn.makefile("rb")
+            with conn, conn.makefile("rb") as reader:
                 while True:
                     line = reader.readline()
                     if not line:
